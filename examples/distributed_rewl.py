@@ -5,8 +5,9 @@ Demonstrates the full distributed pipeline at laptop scale:
 1. decompose the HEA energy range into overlapping windows,
 2. run walker teams per window with inter-window configuration exchanges,
 3. stitch the per-window ln g pieces into one global density of states,
-4. verify the serial and thread-pool executors produce bit-identical
-   results (walker RNG state travels with the walker).
+4. verify the fused SPMD backend (every window stepped as one array
+   program) is bit-identical to the batched serial campaign; exits nonzero
+   if it is not.
 
 Usage: python examples/distributed_rewl.py
 """
@@ -16,13 +17,13 @@ import numpy as np
 from repro.experiments.common import estimate_energy_range
 from repro.hamiltonians import NbMoTaWHamiltonian
 from repro.lattice import bcc, equiatomic_counts, random_configuration
-from repro.parallel import REWLConfig, REWLDriver, ThreadExecutor
+from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import SwapProposal
 from repro.sampling import EnergyGrid
 from repro.util.tables import format_table
 
 
-def run_once(executor=None):
+def run_once(backend="serial"):
     ham = NbMoTaWHamiltonian(bcc(3), n_shells=1)
     counts = equiatomic_counts(ham.n_sites, 4)
     # Annealed estimate of the reachable range (rigid bounds are far too
@@ -33,9 +34,9 @@ def run_once(executor=None):
         hamiltonian=ham, proposal_factory=lambda: SwapProposal(), grid=grid,
         initial_config=random_configuration(ham.n_sites, counts, rng=0),
         config=REWLConfig(n_windows=3, walkers_per_window=2, overlap=0.6,
-                   exchange_interval=1_500, ln_f_final=5e-3, flatness=0.7,
-                   seed=7),
-        executor=executor,
+                          exchange_interval=1_500, ln_f_final=5e-3,
+                          flatness=0.7, seed=7, batched_walkers=True,
+                          backend=backend),
     )
     return driver.run(max_rounds=2_000)
 
@@ -59,14 +60,15 @@ def main() -> None:
     print(f"\nstitched ln g: span = {stitched.span:.1f}, "
           f"joint residuals = {np.round(stitched.joint_residuals, 3)}")
 
-    # Executor determinism: same seed, thread pool vs serial.
-    with ThreadExecutor(n_workers=3) as pool:
-        threaded = run_once(executor=pool)
-    identical = all(
+    # Backend determinism: same seed, fused super-step vs batched serial.
+    fused = run_once(backend="fused")
+    identical = fused.rounds == result.rounds and all(
         np.array_equal(a, b)
-        for a, b in zip(result.window_ln_g, threaded.window_ln_g)
+        for a, b in zip(result.window_ln_g, fused.window_ln_g)
     )
-    print(f"thread-pool run bit-identical to serial: {identical}")
+    print(f"fused run bit-identical to batched serial: {identical}")
+    if not identical:
+        raise SystemExit(1)
 
 
 if __name__ == "__main__":

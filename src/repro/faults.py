@@ -19,9 +19,9 @@ Fault kinds
 -----------
 - ``crash`` — raise :class:`InjectedCrash` (a task-level failure),
 - ``hang``  — sleep ``hang_s`` seconds, then raise :class:`InjectedHang`
-  (exercises executor timeouts without ever mutating walker state),
-- ``kill``  — ``os._exit`` inside pool *worker* processes (exercises the
-  ``BrokenProcessPool`` rebuild path); degrades to ``crash`` in-process,
+  (a slow failure that is retried without ever mutating walker state),
+- ``kill``  — ``os._exit`` inside shm *worker* ranks (exercises the dead-rank
+  reap and respawn path); degrades to ``crash`` in-process,
 - ``corrupt`` — checkpoint I/O faults: flip a payload byte (caught by the
   SHA-256 integrity check) or die between the tmp write and the atomic
   rename (the previous snapshot must survive),
@@ -200,9 +200,8 @@ class FaultInjector:
     def wrap(self, fn, key: int, attempt: int):
         """Wrap a task callable with this injector's decision for one attempt.
 
-        The wrapper is picklable as long as ``fn`` is (process executors ship
-        it to workers), and is a no-op passthrough when no task faults are
-        configured.
+        The wrapper is picklable as long as ``fn`` is, and is a no-op
+        passthrough when no task faults are configured.
         """
         if not self.cfg.any_task_faults:
             return fn
@@ -230,7 +229,7 @@ class _FaultyCall:
                 action = None
         if action == "kill":
             if os.getpid() != self.origin_pid:
-                os._exit(13)  # real worker death -> BrokenProcessPool upstream
+                os._exit(13)  # real worker death -> the shm engine respawns it
             action = "crash"  # in-process: degrade to a task failure
         if action == "hang":
             time.sleep(self.cfg.hang_s)

@@ -33,7 +33,7 @@ evaluation that never materializes any (N, z) table at all, see
 :class:`repro.kernels.chunked.ChunkedPairTables`.
 
 The tables are plain numpy arrays (no views into caller state), so a
-:class:`PairTables` pickles with the walkers through process executors.
+:class:`PairTables` pickles with the walkers (checkpoints, shm ranks).
 """
 
 from __future__ import annotations

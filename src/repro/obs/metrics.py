@@ -1,10 +1,11 @@
 """Process-local metrics: counters, gauges, fixed-bucket histograms.
 
-The REWL advance phase ships walker state through process executors
-(:mod:`repro.parallel.executors`); anything measured inside a worker must
-therefore be (a) picklable and (b) *mergeable*, so per-walker registries can
-be reduced across walkers, windows, and ranks after the fact.  All three
-metric kinds here are plain-data and merge associatively:
+Walker state is pickled into checkpoints and, under ``backend="shm"``,
+stepped in worker processes (:mod:`repro.parallel.fused`); anything
+measured on a walker must therefore be (a) picklable and (b) *mergeable*,
+so per-walker registries can be reduced across walkers, windows, and ranks
+after the fact.  All three metric kinds here are plain-data and merge
+associatively:
 
 - :class:`Counter` — monotone integer, merged by addition,
 - :class:`Gauge` — last-written float, merged right-biased (the right

@@ -10,10 +10,10 @@ make it safe to leave in the hot loops:
 - **zero-RNG / zero-state**: profiling reads the clock and writes into its
   own stat dicts only, so a profiled run is bit-identical to a bare one
   (same contract as the rest of :mod:`repro.obs`; tested),
-- **picklable + mergeable**: a profiler travels with its walker through the
-  process executors and per-walker profiles reduce associatively (calls and
-  timed totals add, min/max combine), exactly like
-  :class:`repro.obs.metrics.MetricsRegistry`,
+- **picklable + mergeable**: a profiler travels with its walker (into
+  checkpoints and back from shm worker ranks) and per-walker profiles
+  reduce associatively (calls and timed totals add, min/max combine),
+  exactly like :class:`repro.obs.metrics.MetricsRegistry`,
 - **cheap when off**: every hook is ``if profiler is None`` on a local.
 
 Hook sites (see DESIGN.md §10): energy-delta evaluation

@@ -146,23 +146,20 @@ def _lnf_table(records: list[dict]) -> str | None:
 
 
 def _fault_lines(records: list[dict]) -> list[str]:
-    """Fault-tolerance digest: retries by reason, rebuilds, checkpoint I/O."""
+    """Fault-tolerance digest: retries by reason, checkpoint I/O."""
     retries: dict[str, int] = defaultdict(int)
     for r in records:
         if r.get("kind") == "task_retry":
             retries[str(r.get("reason", "?"))] += 1
-    rebuilds = sum(1 for r in records if r.get("kind") == "pool_rebuild")
     saved = sum(1 for r in records if r.get("kind") == "checkpoint_saved")
     restored = sum(1 for r in records if r.get("kind") == "checkpoint_restored")
     fallbacks = sum(1 for r in records if r.get("kind") == "checkpoint_fallback")
-    if not (retries or rebuilds or saved or restored or fallbacks):
+    if not (retries or saved or restored or fallbacks):
         return []
     parts = []
     if retries:
         by_reason = ", ".join(f"{k}={v}" for k, v in sorted(retries.items()))
         parts.append(f"{sum(retries.values())} task retries ({by_reason})")
-    if rebuilds:
-        parts.append(f"{rebuilds} pool rebuild(s)")
     if saved or restored:
         parts.append(f"checkpoints: {saved} saved, {restored} restored")
     if fallbacks:

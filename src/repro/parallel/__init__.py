@@ -1,24 +1,17 @@
 """Parallel MC framework (S6).
 
 The paper runs replica-exchange Wang-Landau (REWL) across thousands of GPUs
-with MPI.  Here the same algorithm runs at laptop scale over two layers:
+with MPI.  Here the same algorithm runs at laptop scale:
 
-- :mod:`repro.parallel.comm` — an MPI-like communicator (mpi4py-shaped API:
-  ``send/recv/sendrecv``, ``barrier``, ``bcast``, ``gather``, ``allgather``,
-  ``allreduce``) behind a runtime-checkable protocol and a backend registry
-  (``comm.get("serial"|"thread"|"shm")``): a serial single-rank backend, a
-  threaded SPMD backend, and a zero-copy ``multiprocessing.shared_memory``
-  backend whose ndarray messages move through shared segments instead of
-  pickles.  The distributed parallel-tempering rank program
-  (:mod:`repro.parallel.tempering`) is written against it and asserted
-  bit-identical to the serial reference.
-- :mod:`repro.parallel.executors` — bulk-synchronous walker executors
-  (serial / thread / process).  Walker state travels with the task, so the
-  serial and multiprocess REWL runs are bit-identical by construction.
-  Every executor supervises its tasks: per-task timeout, bounded retry
-  with backoff, broken-pool rebuild, and deterministic chaos via
-  :mod:`repro.faults` — a run that survives injected faults is
+- :mod:`repro.parallel.executors` — :class:`SerialExecutor`, the supervised
+  advance-phase loop: bounded retry with backoff and deterministic chaos
+  via :mod:`repro.faults` — a run that survives injected faults is
   bit-identical to the fault-free run.
+- :mod:`repro.parallel.fused` — the fused SPMD campaign super-step, run
+  in-process (``backend="fused"``) or across worker processes over
+  shared-memory segments (``backend="shm"``, built on
+  :mod:`repro.parallel.comm`'s :class:`ShmWorld` and :class:`ShmChannel`);
+  both are bit-identical to the batched serial campaign.
 - :mod:`repro.parallel.checkpoint` — crash-consistent snapshots (atomic
   tmp+rename writes, SHA-256 integrity framing, ``.prev`` rotation with
   fallback) so interrupted campaigns auto-resume bit-identically.
@@ -32,24 +25,8 @@ On top sits the REWL driver:
   (:mod:`repro.dos`).
 """
 
-from repro.parallel.comm import (
-    COMMUNICATORS,
-    Communicator,
-    SerialCommunicator,
-    SharedMemoryCommunicator,
-    ShmWorld,
-    ThreadCommunicator,
-    get as get_communicator,
-    register_communicator,
-    run_spmd,
-)
-from repro.parallel.executors import (
-    EXECUTORS,
-    SerialExecutor,
-    ThreadExecutor,
-    ProcessExecutor,
-    make_executor,
-)
+from repro.parallel.comm import ShmChannel, ShmWorld
+from repro.parallel.executors import SerialExecutor
 from repro.parallel.windows import WindowSpec, make_windows, surviving_pairs
 from repro.parallel.rewl import (
     BACKENDS,
@@ -65,7 +42,6 @@ from repro.parallel.fused import (
     ShmEngine,
     fused_advance,
 )
-from repro.parallel.tempering import distributed_parallel_tempering
 from repro.parallel.checkpoint import (
     CHECKPOINT_VERSION,
     load_checkpoint,
@@ -76,20 +52,9 @@ from repro.parallel.checkpoint import (
 )
 
 __all__ = [
-    "COMMUNICATORS",
-    "Communicator",
-    "SerialCommunicator",
-    "SharedMemoryCommunicator",
+    "ShmChannel",
     "ShmWorld",
-    "ThreadCommunicator",
-    "get_communicator",
-    "register_communicator",
-    "run_spmd",
-    "EXECUTORS",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
-    "make_executor",
     "WindowSpec",
     "make_windows",
     "surviving_pairs",
@@ -103,7 +68,6 @@ __all__ = [
     "FusedTeam",
     "ShmEngine",
     "fused_advance",
-    "distributed_parallel_tempering",
     "CHECKPOINT_VERSION",
     "save_checkpoint",
     "load_checkpoint",

@@ -1,361 +1,32 @@
-"""MPI-like communicator substrate.
+"""Shared-memory world and rank channels for the shm campaign backend.
 
-API shape follows mpi4py's lowercase (pickle-object) methods — the idiom the
-HPC Python ecosystem standardizes on — restricted to what the samplers need:
-point-to-point ``send/recv/sendrecv`` and the collectives ``barrier``,
-``bcast``, ``gather``, ``allgather``, ``reduce``, ``allreduce``,
-``scatter``.
+The ``backend="shm"`` engine (:class:`repro.parallel.fused.ShmEngine`) runs
+worker ranks as spawned processes over a :class:`ShmWorld`:
 
-:class:`Communicator` is a runtime-checkable :class:`typing.Protocol`;
-backends register themselves in the :data:`COMMUNICATORS` registry (the
-same stable-name → class shape as ``repro.sampling.SAMPLERS``) and are
-looked up with :func:`get`.  All backend constructors are keyword-only.
+- the world owns named :mod:`multiprocessing.shared_memory` arrays
+  (:meth:`ShmWorld.alloc_array`) that every rank maps zero-copy — the
+  campaign state lives there, so bulk data never crosses a pickle;
+- each rank has one inbox queue; a :class:`ShmChannel` is one rank's end of
+  the world: pickled control messages go out with :meth:`ShmChannel.send`
+  and come in with :meth:`ShmChannel.recv` (from one rank) or
+  :meth:`ShmChannel.recv_any` (from whichever rank replies first).
 
-Backends:
-
-- ``"serial"`` :class:`SerialCommunicator` — a size-1 world; every
-  collective is an identity.  Lets rank programs run unmodified in a
-  single process.
-- ``"thread"`` :class:`ThreadCommunicator` — an N-rank world inside one
-  process, built on per-pair queues and a shared barrier.
-- ``"shm"`` :class:`SharedMemoryCommunicator` — an N-rank world across
-  *processes* built on :mod:`multiprocessing.shared_memory`.  Control
-  messages travel over per-rank queues, but ndarray payloads move through
-  a double-buffered shared-memory mailbox: the bytes are written once by
-  the sender and mapped directly by the receiver — no pickling.  A
-  :class:`ShmWorld` also hands out named shared arrays
-  (:meth:`ShmWorld.alloc_array`) that several ranks map simultaneously —
-  the zero-copy substrate under the fused REWL campaign
-  (:mod:`repro.parallel.fused`).
-
-:func:`run_spmd` launches one rank per thread (``backend="thread"``) or
-per spawned process (``backend="shm"``) running the same function (SPMD),
-propagating the first exception.
-
-The threaded backend is a *correctness* substrate, not a speed one (the
-GIL serializes pure-Python sections); the shm backend is the speed path —
-its array traffic never crosses a pickle.
+The host creates every segment and is the only process that unlinks them;
+worker ranks attach by name without adopting unlink responsibility.
 """
 
 from __future__ import annotations
 
 import queue
-import threading
 import time
 import weakref
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry
+__all__ = ["ShmChannel", "ShmWorld"]
 
-__all__ = [
-    "COMMUNICATORS",
-    "Communicator",
-    "SerialCommunicator",
-    "SharedMemoryCommunicator",
-    "ShmWorld",
-    "ThreadCommunicator",
-    "get",
-    "register_communicator",
-    "run_spmd",
-]
-
-_DEFAULT_TIMEOUT = 60.0  # deadlock guard for the multi-rank backends
-
-#: Histogram bucket upper bounds for collective/point-to-point latencies.
-_LATENCY_BUCKETS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
-
-
-def _sum(a, b):
-    return a + b
-
-
-_REDUCE_OPS: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": _sum,
-    "max": max,
-    "min": min,
-}
-
-
-@runtime_checkable
-class Communicator(Protocol):
-    """Communicator protocol (see module docstring for semantics).
-
-    Every backend carries a per-rank :class:`~repro.obs.metrics.MetricsRegistry`
-    under ``self.metrics`` recording ``comm.<op>.calls`` counters and
-    ``comm.<op>.seconds`` latency histograms for each point-to-point and
-    collective operation; :func:`run_spmd` reduces them across ranks when
-    given a telemetry handle.
-    """
-
-    rank: int
-    size: int
-    metrics: MetricsRegistry
-
-    # -- point to point ----------------------------------------------------
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None: ...
-
-    def recv(self, source: int, tag: int = 0) -> Any: ...
-
-    def sendrecv(self, obj: Any, partner: int, tag: int = 0) -> Any:
-        """Exchange objects with ``partner`` (deadlock-free pairwise swap)."""
-        ...
-
-    # -- collectives --------------------------------------------------------
-
-    def barrier(self) -> None: ...
-
-    def bcast(self, obj: Any, root: int = 0) -> Any: ...
-
-    def gather(self, obj: Any, root: int = 0) -> list[Any] | None: ...
-
-    def allgather(self, obj: Any) -> list[Any]: ...
-
-    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any: ...
-
-    def reduce(self, obj: Any, op: str = "sum", root: int = 0) -> Any | None: ...
-
-    def allreduce(self, obj: Any, op: str = "sum") -> Any: ...
-
-
-#: Stable-name → communicator-class registry (populated by
-#: ``register_communicator``); mirrors ``repro.sampling.SAMPLERS``.
-COMMUNICATORS: dict[str, type] = {}
-
-
-def register_communicator(name: str):
-    """Class decorator adding a backend to :data:`COMMUNICATORS`."""
-
-    def deco(cls: type) -> type:
-        existing = COMMUNICATORS.get(name)
-        if existing is not None and existing is not cls:
-            raise ValueError(f"communicator name {name!r} already registered")
-        COMMUNICATORS[name] = cls
-        cls.backend_name = name
-        return cls
-
-    return deco
-
-
-def get(name: str) -> type:
-    """Resolve a registered communicator class by stable name."""
-    try:
-        return COMMUNICATORS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown communicator {name!r}; registered: {sorted(COMMUNICATORS)}"
-        ) from None
-
-
-class _CommBase:
-    """Shared latency-recording and peer validation for all backends."""
-
-    rank: int
-    size: int
-    metrics: MetricsRegistry
-
-    def _record(self, op: str, t0: float) -> None:
-        dt = time.perf_counter() - t0
-        self.metrics.inc(f"comm.{op}.calls")
-        self.metrics.observe(f"comm.{op}.seconds", dt, buckets=_LATENCY_BUCKETS)
-
-    def _check_peer(self, peer: int, what: str) -> None:
-        if not 0 <= peer < self.size:
-            raise ValueError(f"{what} rank {peer} out of range [0, {self.size})")
-        if peer == self.rank:
-            raise ValueError(f"{what} to self (rank {peer}) is not allowed")
-
-
-@register_communicator("serial")
-class SerialCommunicator(_CommBase):
-    """The trivial single-rank world."""
-
-    rank = 0
-    size = 1
-
-    def __init__(self, *, metrics: MetricsRegistry | None = None):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    def send(self, obj, dest, tag=0):
-        raise RuntimeError("send in a size-1 world has no valid destination")
-
-    def recv(self, source, tag=0):
-        raise RuntimeError("recv in a size-1 world has no valid source")
-
-    def sendrecv(self, obj, partner, tag=0):
-        raise RuntimeError("sendrecv in a size-1 world has no valid partner")
-
-    def barrier(self):
-        self._record("barrier", time.perf_counter())
-        return None
-
-    def bcast(self, obj, root=0):
-        self._record("bcast", time.perf_counter())
-        return obj
-
-    def gather(self, obj, root=0):
-        self._record("gather", time.perf_counter())
-        return [obj]
-
-    def allgather(self, obj):
-        self._record("allgather", time.perf_counter())
-        return [obj]
-
-    def scatter(self, objs, root=0):
-        if objs is None or len(objs) != 1:
-            raise ValueError("scatter in a size-1 world needs exactly one object")
-        self._record("scatter", time.perf_counter())
-        return objs[0]
-
-    def reduce(self, obj, op="sum", root=0):
-        if op not in _REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {op!r}")
-        self._record("reduce", time.perf_counter())
-        return obj
-
-    def allreduce(self, obj, op="sum"):
-        if op not in _REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {op!r}")
-        self._record("allreduce", time.perf_counter())
-        return obj
-
-
-class _World:
-    """Shared state for a ThreadCommunicator world."""
-
-    def __init__(self, size: int, timeout: float):
-        self.size = size
-        self.timeout = timeout
-        self.barrier = threading.Barrier(size)
-        # One queue per (source, dest, tag-ish) — tags are matched by
-        # embedding them in the message, which is enough for our traffic.
-        self.queues: dict[tuple[int, int], queue.Queue] = {
-            (src, dst): queue.Queue() for src in range(size) for dst in range(size)
-        }
-        self.bcast_box: list[Any] = [None]
-        self.gather_box: list[Any] = [None] * size
-
-
-@register_communicator("thread")
-class ThreadCommunicator(_CommBase):
-    """One rank of a threaded SPMD world (created by :func:`run_spmd`)."""
-
-    def __init__(self, *, world: _World, rank: int,
-                 metrics: MetricsRegistry | None = None):
-        self._world = world
-        self.rank = rank
-        self.size = world.size
-        # Per-rank registry: threads never share one (MetricsRegistry is
-        # not locked); run_spmd merges them after the ranks join.
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-
-    # -- point to point ----------------------------------------------------
-
-    def send(self, obj, dest, tag=0):
-        t0 = time.perf_counter()
-        self._check_peer(dest, "send")
-        self._world.queues[(self.rank, dest)].put((tag, obj))
-        self._record("send", t0)
-
-    def recv(self, source, tag=0):
-        t0 = time.perf_counter()
-        self._check_peer(source, "recv")
-        got_tag, obj = self._world.queues[(source, self.rank)].get(
-            timeout=self._world.timeout
-        )
-        if got_tag != tag:
-            raise RuntimeError(
-                f"rank {self.rank}: tag mismatch from {source}: "
-                f"expected {tag}, got {got_tag}"
-            )
-        self._record("recv", t0)
-        return obj
-
-    def sendrecv(self, obj, partner, tag=0):
-        t0 = time.perf_counter()
-        self._check_peer(partner, "sendrecv")
-        self.send(obj, partner, tag)
-        out = self.recv(partner, tag)
-        self._record("sendrecv", t0)
-        return out
-
-    # -- collectives --------------------------------------------------------
-
-    def barrier(self):
-        t0 = time.perf_counter()
-        self._world.barrier.wait(timeout=self._world.timeout)
-        self._record("barrier", t0)
-
-    def bcast(self, obj, root=0):
-        t0 = time.perf_counter()
-        if self.rank == root:
-            self._world.bcast_box[0] = obj
-        self.barrier()
-        out = self._world.bcast_box[0]
-        self.barrier()
-        self._record("bcast", t0)
-        return out
-
-    def gather(self, obj, root=0):
-        t0 = time.perf_counter()
-        self._world.gather_box[self.rank] = obj
-        self.barrier()
-        out = list(self._world.gather_box) if self.rank == root else None
-        self.barrier()
-        self._record("gather", t0)
-        return out
-
-    def allgather(self, obj):
-        t0 = time.perf_counter()
-        self._world.gather_box[self.rank] = obj
-        self.barrier()
-        out = list(self._world.gather_box)
-        self.barrier()
-        self._record("allgather", t0)
-        return out
-
-    def scatter(self, objs, root=0):
-        t0 = time.perf_counter()
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(f"scatter needs exactly {self.size} objects at root")
-            self._world.gather_box[:] = objs
-        self.barrier()
-        out = self._world.gather_box[self.rank]
-        self.barrier()
-        self._record("scatter", t0)
-        return out
-
-    def reduce(self, obj, op="sum", root=0):
-        t0 = time.perf_counter()
-        if op not in _REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {op!r}")
-        gathered = self.gather(obj, root=root)
-        self._record("reduce", t0)
-        if self.rank != root:
-            return None
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = _REDUCE_OPS[op](acc, item)
-        return acc
-
-    def allreduce(self, obj, op="sum"):
-        t0 = time.perf_counter()
-        if op not in _REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {op!r}")
-        gathered = self.allgather(obj)
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = _REDUCE_OPS[op](acc, item)
-        self._record("allreduce", t0)
-        return acc
-
-
-# --------------------------------------------------------------------------
-# Shared-memory (multi-process) world
-# --------------------------------------------------------------------------
+_RECV_TIMEOUT_S = 60.0  # deadlock guard for blocking receives
 
 
 def _unlink_segments(names: list[str]) -> None:
@@ -403,51 +74,34 @@ def _attach_segment(name: str):
 class _ShmWorldHandle:
     """Picklable-through-``Process`` descriptor of a :class:`ShmWorld`.
 
-    Carries the queues/barrier (inherited through process spawn) plus the
-    *names* of every shared segment; child ranks attach by name.
+    Carries the inbox queues (inherited through process spawn) plus the
+    *names* of every shared array; child ranks attach by name.
     """
 
-    def __init__(self, size, timeout, slot_bytes, inboxes, barrier,
-                 mailbox_name, arrays):
-        self.size = size
-        self.timeout = timeout
-        self.slot_bytes = slot_bytes
+    def __init__(self, inboxes, arrays):
         self.inboxes = inboxes
-        self.barrier = barrier
-        self.mailbox_name = mailbox_name
         self.arrays = arrays  # name → (segment name, shape, dtype str)
 
 
 class ShmWorld:
     """Host-owned lifecycle of a process-based shared-memory world.
 
-    Owns every segment: the point-to-point mailbox plus any named arrays
-    allocated with :meth:`alloc_array`.  :meth:`close` terminates
-    still-running child ranks and unlinks all segments; a ``weakref``
-    finalizer does the same at interpreter exit, so a crashed campaign
-    cannot leak ``/dev/shm`` entries (asserted in
+    Owns every segment allocated with :meth:`alloc_array`.  :meth:`close`
+    terminates still-running child ranks and unlinks all segments; a
+    ``weakref`` finalizer does the same at interpreter exit, so a crashed
+    campaign cannot leak ``/dev/shm`` entries (asserted in
     ``tests/test_shm_lifecycle.py``).
     """
 
-    def __init__(self, size: int, *, slot_bytes: int = 1 << 20,
-                 timeout: float = _DEFAULT_TIMEOUT):
+    def __init__(self, size: int):
         import multiprocessing as mp
-        from multiprocessing import shared_memory
 
         if size < 1:
             raise ValueError(f"world size must be >= 1, got {size}")
-        self.size = size
-        self.timeout = timeout
-        self.slot_bytes = int(slot_bytes)
         self.ctx = mp.get_context("spawn")
         self.inboxes = [self.ctx.Queue() for _ in range(size)]
-        self.barrier = self.ctx.Barrier(size)
-        n_slots = 2 * size * size
-        self._mailbox = shared_memory.SharedMemory(
-            create=True, size=max(1, n_slots * self.slot_bytes)
-        )
-        self._segments = [self._mailbox]
-        self._segment_names = [self._mailbox.name]
+        self._segments: list = []
+        self._segment_names: list[str] = []
         self._arrays: dict[str, tuple[str, tuple, str]] = {}
         self.procs: list = []
         self._closed = False
@@ -460,8 +114,7 @@ class ShmWorld:
     def alloc_array(self, name: str, shape, dtype) -> np.ndarray:
         """Create a named shared array; returns the host's zero-copy view.
 
-        Child ranks map the same bytes via
-        :meth:`SharedMemoryCommunicator.shared_array`.
+        Child ranks map the same bytes via :meth:`ShmChannel.shared_array`.
         """
         from multiprocessing import shared_memory
 
@@ -481,19 +134,16 @@ class ShmWorld:
         return list(self._segment_names)
 
     def handle(self) -> _ShmWorldHandle:
-        return _ShmWorldHandle(
-            self.size, self.timeout, self.slot_bytes, self.inboxes,
-            self.barrier, self._mailbox.name, dict(self._arrays),
-        )
+        return _ShmWorldHandle(self.inboxes, dict(self._arrays))
 
     # ---------------------------------------------------------- lifecycle
 
-    def spawn(self, target, args_per_rank: list[tuple]) -> None:
-        """Start one daemon process per args tuple (appended to ``procs``)."""
-        for args in args_per_rank:
-            p = self.ctx.Process(target=target, args=args, daemon=True)
-            p.start()
-            self.procs.append(p)
+    def spawn(self, target, args: tuple):
+        """Start one daemon rank process (tracked in ``procs``)."""
+        p = self.ctx.Process(target=target, args=args, daemon=True)
+        p.start()
+        self.procs.append(p)
+        return p
 
     def close(self) -> None:
         """Terminate child ranks, then close + unlink every segment."""
@@ -522,44 +172,20 @@ class ShmWorld:
         self._finalizer.detach()
 
 
-@register_communicator("shm")
-class SharedMemoryCommunicator(_CommBase):
-    """One rank of a shared-memory SPMD world.
+class ShmChannel:
+    """One rank's end of a :class:`ShmWorld`.
 
-    Control messages (pickled objects, collectives, acks) travel over the
-    rank's inbox queue; ndarray point-to-point payloads take the zero-copy
-    path — written into a double-buffered per-(src, dst) mailbox slot and
-    mapped directly by the receiver.  ``recv`` returns a **read-only view**
-    of the slot, valid until the sender's next-but-one send to this rank;
-    copy it (``np.array(view)``) to retain the data longer.  Arrays larger
-    than ``slot_bytes`` fall back to the pickle path transparently.
+    Messages are pickled objects on the destination rank's inbox queue,
+    tagged with the sender's rank.  A receive that waits for one rank
+    stashes whatever else arrives, so no message is lost to a selective
+    receive.
     """
 
-    def __init__(self, *, world, rank: int,
-                 metrics: MetricsRegistry | None = None):
+    def __init__(self, *, world: _ShmWorldHandle, rank: int):
         self._world = world
         self.rank = rank
-        self.size = world.size
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._mail = None
         self._attached: dict[str, Any] = {}
-        self._stash: list[tuple] = []
-        self._send_seq: dict[int, int] = {}
-        self._acked: dict[int, int] = {}
-
-    # ---------------------------------------------------------- segments
-
-    def _mailbox(self):
-        if self._mail is None:
-            self._mail = self._attach(self._world.mailbox_name)
-        return self._mail
-
-    def _attach(self, name: str):
-        seg = self._attached.get(name)
-        if seg is None:
-            seg = _attach_segment(name)
-            self._attached[name] = seg
-        return seg
+        self._stash: list[tuple[int, Any]] = []
 
     def shared_array(self, name: str) -> np.ndarray:
         """Map a named world array (see :meth:`ShmWorld.alloc_array`)."""
@@ -570,7 +196,10 @@ class SharedMemoryCommunicator(_CommBase):
                 f"unknown shared array {name!r}; "
                 f"allocated: {sorted(self._world.arrays)}"
             ) from None
-        seg = self._attach(seg_name)
+        seg = self._attached.get(seg_name)
+        if seg is None:
+            seg = _attach_segment(seg_name)
+            self._attached[seg_name] = seg
         return np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
 
     def close(self) -> None:
@@ -581,26 +210,30 @@ class SharedMemoryCommunicator(_CommBase):
             except Exception:
                 pass
         self._attached.clear()
-        self._mail = None
 
-    # ----------------------------------------------------------- inbox
+    def send(self, obj, dest: int) -> None:
+        self._world.inboxes[dest].put((self.rank, obj))
 
-    def _slot(self, src: int, dst: int, seq: int) -> int:
-        pair = src * self.size + dst
-        return (2 * pair + seq % 2) * self._world.slot_bytes
+    def recv(self, source: int) -> Any:
+        """Block for the next message from rank ``source``."""
+        return self._pump(lambda src: src == source)[1]
 
-    def _pump(self, match, timeout: float | None = None):
-        """Return the first stashed/arriving message satisfying ``match``.
+    def recv_any(self, timeout: float | None = None) -> tuple[int, Any]:
+        """Receive from whichever rank sends next → ``(source, obj)``.
 
-        Ack messages are folded into the sender-side bookkeeping instead of
-        being stashed, so a pure producer still drains its acks while
-        blocked in a send.
+        ``timeout`` overrides the default deadlock guard so drain loops can
+        poll for worker liveness between waits; expiry raises
+        :class:`TimeoutError`.
         """
-        for i, msg in enumerate(self._stash):
-            if match(msg):
+        return self._pump(lambda src: True, timeout=timeout)
+
+    def _pump(self, match, timeout: float | None = None) -> tuple[int, Any]:
+        """Return the first stashed/arriving message whose source matches."""
+        for i, (src, _) in enumerate(self._stash):
+            if match(src):
                 return self._stash.pop(i)
         deadline = time.monotonic() + (
-            self._world.timeout if timeout is None else timeout
+            _RECV_TIMEOUT_S if timeout is None else timeout
         )
         inbox = self._world.inboxes[self.rank]
         while True:
@@ -613,330 +246,6 @@ class SharedMemoryCommunicator(_CommBase):
                 msg = inbox.get(timeout=remaining)
             except queue.Empty:
                 continue  # deadline check above raises the TimeoutError
-            if msg[0] == "ack":
-                _, src, seq = msg
-                self._acked[src] = max(self._acked.get(src, -1), seq)
-                continue
-            if match(msg):
+            if match(msg[0]):
                 return msg
             self._stash.append(msg)
-
-    def _await_ack(self, dest: int, seq: int) -> None:
-        if self._acked.get(dest, -1) >= seq:
-            return
-        # Drain the inbox (stashing real messages) until the ack arrives.
-        deadline = time.monotonic() + self._world.timeout
-        inbox = self._world.inboxes[self.rank]
-        while self._acked.get(dest, -1) < seq:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError(
-                    f"rank {self.rank}: timed out waiting for ack from {dest}"
-                )
-            try:
-                msg = inbox.get(timeout=remaining)
-            except queue.Empty:
-                continue
-            if msg[0] == "ack":
-                _, src, got = msg
-                self._acked[src] = max(self._acked.get(src, -1), got)
-            else:
-                self._stash.append(msg)
-
-    # -- point to point ----------------------------------------------------
-
-    def send(self, obj, dest, tag=0):
-        t0 = time.perf_counter()
-        self._check_peer(dest, "send")
-        if (
-            isinstance(obj, np.ndarray)
-            and obj.dtype != object
-            and obj.nbytes <= self._world.slot_bytes
-        ):
-            seq = self._send_seq.get(dest, 0)
-            if seq >= 2:
-                # Double buffer: slot seq reuses slot seq-2's bytes.
-                self._await_ack(dest, seq - 2)
-            off = self._slot(self.rank, dest, seq)
-            view = np.ndarray(obj.shape, dtype=obj.dtype,
-                              buffer=self._mailbox().buf, offset=off)
-            view[...] = obj
-            self._world.inboxes[dest].put(
-                ("shm", self.rank, tag, obj.shape, obj.dtype.str, seq)
-            )
-            self._send_seq[dest] = seq + 1
-            self.metrics.inc("comm.send.zero_copy")
-        else:
-            self._world.inboxes[dest].put(("obj", self.rank, tag, obj))
-        self._record("send", t0)
-
-    def recv(self, source, tag=0):
-        t0 = time.perf_counter()
-        self._check_peer(source, "recv")
-        msg = self._pump(
-            lambda m: m[0] in ("obj", "shm") and m[1] == source and m[2] == tag
-        )
-        if msg[0] == "obj":
-            out = msg[3]
-        else:
-            _, src, _, shape, dtype, seq = msg
-            off = self._slot(src, self.rank, seq)
-            out = np.ndarray(shape, dtype=np.dtype(dtype),
-                             buffer=self._mailbox().buf, offset=off)
-            out.flags.writeable = False
-            self._world.inboxes[src].put(("ack", self.rank, seq))
-        self._record("recv", t0)
-        return out
-
-    def sendrecv(self, obj, partner, tag=0):
-        t0 = time.perf_counter()
-        self._check_peer(partner, "sendrecv")
-        self.send(obj, partner, tag)
-        out = self.recv(partner, tag)
-        self._record("sendrecv", t0)
-        return out
-
-    def recv_any(self, tag: int = 0,
-                 timeout: float | None = None) -> tuple[int, Any]:
-        """Receive from whichever rank sends next → ``(source, obj)``.
-
-        The wildcard receive the non-blocking REWL drain loop is built on
-        (windows finish their super-steps in whatever order the workers
-        do); not part of the :class:`Communicator` protocol.  ``timeout``
-        overrides the world default so drain loops can poll for worker
-        liveness between waits.
-        """
-        t0 = time.perf_counter()
-        msg = self._pump(
-            lambda m: m[0] in ("obj", "shm") and m[2] == tag, timeout=timeout
-        )
-        src = msg[1]
-        if msg[0] == "obj":
-            out = msg[3]
-        else:
-            _, _, _, shape, dtype, seq = msg
-            off = self._slot(src, self.rank, seq)
-            out = np.ndarray(shape, dtype=np.dtype(dtype),
-                             buffer=self._mailbox().buf, offset=off)
-            out.flags.writeable = False
-            self._world.inboxes[src].put(("ack", self.rank, seq))
-        self._record("recv", t0)
-        return src, out
-
-    # -- collectives --------------------------------------------------------
-    #
-    # Collectives move pickled objects over the queues (they are control
-    # plane, not bulk data; the bulk path is shared_array / the mailbox).
-
-    def barrier(self):
-        t0 = time.perf_counter()
-        self._world.barrier.wait(timeout=self._world.timeout)
-        self._record("barrier", t0)
-
-    def bcast(self, obj, root=0):
-        t0 = time.perf_counter()
-        if self.rank == root:
-            for r in range(self.size):
-                if r != root:
-                    self._world.inboxes[r].put(("coll", root, "bcast", obj))
-            out = obj
-        else:
-            msg = self._pump(
-                lambda m: m[0] == "coll" and m[1] == root and m[2] == "bcast"
-            )
-            out = msg[3]
-        self._record("bcast", t0)
-        return out
-
-    def gather(self, obj, root=0):
-        t0 = time.perf_counter()
-        if self.rank == root:
-            out = []
-            for r in range(self.size):
-                if r == root:
-                    out.append(obj)
-                    continue
-                msg = self._pump(
-                    lambda m, r=r: m[0] == "coll" and m[1] == r
-                    and m[2] == "gather"
-                )
-                out.append(msg[3])
-        else:
-            self._world.inboxes[root].put(("coll", self.rank, "gather", obj))
-            out = None
-        self._record("gather", t0)
-        return out
-
-    def allgather(self, obj):
-        t0 = time.perf_counter()
-        gathered = self.gather(obj, root=0)
-        out = self.bcast(gathered, root=0)
-        self._record("allgather", t0)
-        return out
-
-    def scatter(self, objs, root=0):
-        t0 = time.perf_counter()
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError(f"scatter needs exactly {self.size} objects at root")
-            for r in range(self.size):
-                if r != root:
-                    self._world.inboxes[r].put(
-                        ("coll", root, "scatter", objs[r])
-                    )
-            out = objs[root]
-        else:
-            msg = self._pump(
-                lambda m: m[0] == "coll" and m[1] == root and m[2] == "scatter"
-            )
-            out = msg[3]
-        self._record("scatter", t0)
-        return out
-
-    def reduce(self, obj, op="sum", root=0):
-        t0 = time.perf_counter()
-        if op not in _REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {op!r}")
-        gathered = self.gather(obj, root=root)
-        self._record("reduce", t0)
-        if self.rank != root:
-            return None
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = _REDUCE_OPS[op](acc, item)
-        return acc
-
-    def allreduce(self, obj, op="sum"):
-        t0 = time.perf_counter()
-        if op not in _REDUCE_OPS:
-            raise ValueError(f"unknown reduce op {op!r}")
-        gathered = self.allgather(obj)
-        acc = gathered[0]
-        for item in gathered[1:]:
-            acc = _REDUCE_OPS[op](acc, item)
-        self._record("allreduce", t0)
-        return acc
-
-
-def _shm_spmd_main(handle, rank, fn, result_q):
-    """Child-process entry of a ``backend="shm"`` SPMD world."""
-    t0 = time.perf_counter()
-    comm = SharedMemoryCommunicator(world=handle, rank=rank)
-    try:
-        out = fn(comm)
-        result_q.put(
-            (rank, True, out, comm.metrics, time.perf_counter() - t0)
-        )
-    except BaseException as exc:  # noqa: BLE001 - reported to the host
-        result_q.put(
-            (rank, False, repr(exc), comm.metrics, time.perf_counter() - t0)
-        )
-    finally:
-        comm.close()
-
-
-def run_spmd(fn: Callable[[Communicator], Any], n_ranks: int,
-             timeout: float = _DEFAULT_TIMEOUT, telemetry=None,
-             backend: str = "thread") -> list[Any]:
-    """Run ``fn(comm)`` on ``n_ranks`` ranks; return per-rank results.
-
-    ``backend="thread"`` runs one thread per rank in-process;
-    ``backend="shm"`` spawns one process per rank over a :class:`ShmWorld`
-    (``fn`` must then be picklable — a module-level function).  A single
-    rank always gets the :class:`SerialCommunicator`.
-
-    The first exception raised by any rank is re-raised in the caller (other
-    ranks are abandoned — acceptable for a test/teaching substrate).
-
-    When ``telemetry`` (a :class:`repro.obs.Telemetry`) is supplied, each
-    rank's per-collective call counts and latency histograms are merged into
-    ``telemetry.metrics`` after the ranks join, and one ``spmd`` event is
-    emitted with the world size and wall time.  When ``REPRO_TRACE_DIR`` is
-    set, each rank additionally emits one rank-tagged ``worker_span`` record
-    to this process's worker JSONL file (see
-    :func:`repro.obs.events.worker_log`), so SPMD rank programs appear as
-    their own lanes in the ``repro obs export-trace`` campaign timeline.
-    """
-    from repro.obs.events import worker_log
-
-    if n_ranks < 1:
-        raise ValueError(f"n_ranks must be >= 1, got {n_ranks}")
-    if backend not in ("thread", "shm"):
-        raise ValueError(f"unknown spmd backend {backend!r}")
-    t0 = time.perf_counter()
-    rank_durs: list[float | None] = [None] * n_ranks
-    rank_metrics: list[MetricsRegistry] = []
-    if n_ranks == 1:
-        comm = SerialCommunicator()
-        out = [fn(comm)]
-        rank_durs[0] = time.perf_counter() - t0
-        rank_metrics = [comm.metrics]
-    elif backend == "shm":
-        world = ShmWorld(n_ranks, timeout=timeout)
-        try:
-            result_q = world.ctx.Queue()
-            world.spawn(
-                _shm_spmd_main,
-                [(world.handle(), r, fn, result_q) for r in range(n_ranks)],
-            )
-            out = [None] * n_ranks
-            deadline = time.monotonic() + timeout * 4
-            for _ in range(n_ranks):
-                remaining = max(0.1, deadline - time.monotonic())
-                try:
-                    rank, ok, payload, metrics, dur = result_q.get(
-                        timeout=remaining
-                    )
-                except queue.Empty:
-                    raise RuntimeError(
-                        "shm spmd ranks did not finish (deadlock or crash?)"
-                    ) from None
-                if not ok:
-                    raise RuntimeError(f"rank {rank} failed: {payload}")
-                out[rank] = payload
-                rank_durs[rank] = dur
-                rank_metrics.append(metrics)
-            for p in world.procs:
-                p.join(timeout=timeout)
-        finally:
-            world.close()
-    else:
-        world = _World(n_ranks, timeout)
-        comms = [ThreadCommunicator(world=world, rank=r) for r in range(n_ranks)]
-        results: list[Any] = [None] * n_ranks
-        errors: list[tuple[int, BaseException]] = []
-
-        def target(rank: int) -> None:
-            rank_t0 = time.perf_counter()
-            try:
-                results[rank] = fn(comms[rank])
-                rank_durs[rank] = time.perf_counter() - rank_t0
-            except BaseException as exc:  # noqa: BLE001 - propagated below
-                errors.append((rank, exc))
-                world.barrier.abort()
-
-        threads = [threading.Thread(target=target, args=(r,), daemon=True)
-                   for r in range(n_ranks)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=timeout * 4)
-        if errors:
-            rank, exc = errors[0]
-            raise RuntimeError(f"rank {rank} failed: {exc!r}") from exc
-        alive = [t for t in threads if t.is_alive()]
-        if alive:
-            raise RuntimeError(f"{len(alive)} ranks did not finish (deadlock?)")
-        out = results
-        rank_metrics = [c.metrics for c in comms]
-    if telemetry is not None:
-        for metrics in rank_metrics:
-            telemetry.metrics.merge(metrics)
-        telemetry.emit("spmd", n_ranks=n_ranks, dur_s=time.perf_counter() - t0)
-    wlog = worker_log()
-    if wlog.enabled:
-        for rank, dur in enumerate(rank_durs):
-            if dur is not None:
-                wlog.emit("worker_span", name="spmd_rank", rank=rank,
-                          dur_s=dur, n_ranks=n_ranks)
-    return out

@@ -1,45 +1,33 @@
-"""Bulk-synchronous walker executors with failure supervision.
+"""The supervised advance-phase executor.
 
 The REWL driver alternates *advance* phases (every walker runs a block of
-Wang-Landau steps, embarrassingly parallel) with *exchange/merge* phases
-(centralized, cheap).  Executors parallelize the advance phase:
+Wang-Landau steps) with *exchange/merge* phases.  :class:`SerialExecutor`
+runs the advance tasks in a plain loop in the calling process; the
+campaign-scale parallel paths are the fused and shm backends
+(:mod:`repro.parallel.fused`), which bypass executors entirely.  Callers
+inject an executor with its own fault and retry settings through the
+``executor=`` argument of :class:`~repro.parallel.rewl.REWLDriver`.
 
-- :class:`SerialExecutor` — plain loop (reference; deterministic),
-- :class:`ThreadExecutor` — thread pool (low overhead; limited by the GIL
-  for pure-numpy walkers but useful for walkers that release it),
-- :class:`ProcessExecutor` — process pool; walker state is pickled to the
-  worker and back, so results are bit-identical to the serial executor
-  (each walker's RNG travels with it).
-
-The task function must be a module-level picklable callable
-``fn(walker, *args) -> walker``.
+The task function has the shape ``fn(walker, *args) -> walker``.
 
 Supervision
 -----------
-Days-long campaigns cannot await a dead or hung worker forever, so every
-executor supervises its tasks:
+Days-long campaigns must survive transient task failures, so the executor
+supervises its tasks:
 
 - **bounded retry with backoff** (``max_retries``, ``retry_backoff``) — a
-  failed attempt is resubmitted; the caller's input objects are untouched
-  until ``map`` returns, so a retry recomputes the same deterministic
-  result and the run stays bit-identical to a failure-free one,
-- **per-task timeout** (``timeout``, pool executors only) — a future that
-  does not complete in time is abandoned and the task resubmitted; the
-  serial executor documents ``timeout`` as ignored (a hang in-process *is*
-  the driver hanging),
-- **broken-pool rebuild** — when a worker process dies hard the entire
-  ``concurrent.futures`` pool is poisoned (``BrokenProcessPool``); the
-  executor rebuilds the pool, harvests results that finished before the
-  breakage, and resubmits the rest,
+  failed attempt is rerun; the caller's input objects are untouched until
+  ``map`` returns, so a retry recomputes the same deterministic result and
+  the run stays bit-identical to a failure-free one,
 - **deterministic chaos** — a :class:`repro.faults.FaultInjector` (explicit
   argument or the ``REPRO_FAULTS`` env knob) wraps each attempt; injected
   faults fire before the task body runs, so surviving runs are bit-identical
-  to fault-free ones.
+  to fault-free ones.  A hung task in the calling process cannot be
+  preempted; injected hangs raise after their sleep, so retry covers them.
 
-Retries/timeouts/rebuilds are counted and emitted through ``repro.obs``
-(metrics ``task.retries``, ``task.timeouts``, ``executor.pool_rebuilds``,
-``fault.injected``; event ``task_retry``).  ``close()`` is idempotent and
-``map`` after ``close`` raises ``RuntimeError``.
+Retries are counted and emitted through ``repro.obs`` (metrics
+``task.retries``, ``task.failures``, ``fault.injected``; events
+``task_retry``, ``task_failed``).
 
 Partial completion
 ------------------
@@ -55,26 +43,20 @@ budget is bit-identical under either entry point.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
-import multiprocessing as mp
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from repro.faults import FaultInjector, InjectedFault, faults_from_env
 from repro.obs import Telemetry
 
-__all__ = ["SerialExecutor", "ThreadExecutor", "ProcessExecutor",
-           "EXECUTORS", "make_executor"]
+__all__ = ["SerialExecutor"]
 
 
-class _Supervisor:
-    """Shared retry/telemetry plumbing for all executors."""
+class SerialExecutor:
+    """Run tasks in a plain loop in the calling process, with retries."""
 
-    def __init__(self, timeout: float | None = None, max_retries: int | None = None,
+    def __init__(self, max_retries: int | None = None,
                  retry_backoff: float = 0.02, faults: FaultInjector | None = None,
                  telemetry: Telemetry | None = None):
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {timeout!r}")
         if max_retries is not None and max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries!r}")
         if retry_backoff < 0:
@@ -86,7 +68,6 @@ class _Supervisor:
             max_retries if max_retries is not None
             else (8 if self.faults is not None else 0)
         )
-        self.timeout = timeout
         self.retry_backoff = retry_backoff
         self.obs = telemetry if telemetry is not None else Telemetry()
         self._obs_bound = telemetry is not None
@@ -96,47 +77,6 @@ class _Supervisor:
         if telemetry is not None and not self._obs_bound:
             self.obs = telemetry
             self._obs_bound = True
-
-    def _wrap(self, fn, index: int, attempt: int):
-        """Fault-wrap one attempt (no-op without an injector)."""
-        if self.faults is None:
-            return fn
-        return self.faults.wrap(fn, index, attempt)
-
-    def _note_retry(self, index: int, attempt: int, reason: str, exc) -> None:
-        self.obs.metrics.inc("task.retries")
-        if reason == "timeout":
-            self.obs.metrics.inc("task.timeouts")
-        if isinstance(exc, InjectedFault):
-            self.obs.metrics.inc("fault.injected")
-        if self.obs.enabled:
-            self.obs.emit(
-                "task_retry", executor=type(self).__name__, index=index,
-                attempt=attempt, reason=reason,
-                error=f"{type(exc).__name__}: {exc}" if exc is not None else None,
-            )
-
-    def _note_exhausted(self, index: int, exc) -> None:
-        """A task burned its whole retry budget in partial mode."""
-        self.obs.metrics.inc("task.failures")
-        if self.obs.enabled:
-            self.obs.emit(
-                "task_failed", executor=type(self).__name__, index=index,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
-    def _backoff(self, attempt: int) -> None:
-        if self.retry_backoff > 0:
-            time.sleep(self.retry_backoff * (2 ** max(attempt - 1, 0)))
-
-
-class SerialExecutor(_Supervisor):
-    """Run tasks in a plain loop in the calling process.
-
-    ``timeout`` is accepted for interface parity but ignored: a hung task in
-    the calling process cannot be preempted.  Injected hangs raise after
-    their sleep, so retry still covers them.
-    """
 
     def map(self, fn, walkers, *args) -> list:
         return self._map_impl(fn, walkers, args, failures=None)
@@ -164,9 +104,39 @@ class SerialExecutor(_Supervisor):
                         out.append(None)
                         self._note_exhausted(index, exc)
                         break
-                    self._note_retry(index, attempt, "error", exc)
+                    self._note_retry(index, attempt, exc)
                     self._backoff(attempt)
         return out
+
+    def _wrap(self, fn, index: int, attempt: int):
+        """Fault-wrap one attempt (no-op without an injector)."""
+        if self.faults is None:
+            return fn
+        return self.faults.wrap(fn, index, attempt)
+
+    def _note_retry(self, index: int, attempt: int, exc) -> None:
+        self.obs.metrics.inc("task.retries")
+        if isinstance(exc, InjectedFault):
+            self.obs.metrics.inc("fault.injected")
+        if self.obs.enabled:
+            self.obs.emit(
+                "task_retry", executor=type(self).__name__, index=index,
+                attempt=attempt, reason="error",
+                error=f"{type(exc).__name__}: {exc}",
+            )
+
+    def _note_exhausted(self, index: int, exc) -> None:
+        """A task burned its whole retry budget in partial mode."""
+        self.obs.metrics.inc("task.failures")
+        if self.obs.enabled:
+            self.obs.emit(
+                "task_failed", executor=type(self).__name__, index=index,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+
+    def _backoff(self, attempt: int) -> None:
+        if self.retry_backoff > 0:
+            time.sleep(self.retry_backoff * (2 ** max(attempt - 1, 0)))
 
     def close(self) -> None:
         return None
@@ -176,175 +146,3 @@ class SerialExecutor(_Supervisor):
 
     def __exit__(self, *exc):
         self.close()
-
-
-class _PoolExecutor(_Supervisor):
-    """Supervised ``concurrent.futures`` pool (thread or process)."""
-
-    def __init__(self, n_workers: int, **supervisor_kwargs):
-        if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        super().__init__(**supervisor_kwargs)
-        self.n_workers = n_workers
-        self._pool = self._make_pool()
-
-    def _make_pool(self):
-        raise NotImplementedError
-
-    def map(self, fn, walkers, *args) -> list:
-        return self._map_impl(fn, walkers, args, failures=None)
-
-    def map_partial(self, fn, walkers, *args) -> tuple[list, dict]:
-        """Like ``map``, but failed tasks yield ``None`` + an entry in the
-        returned ``{index: exception}`` dict instead of aborting the phase."""
-        failures: dict[int, Exception] = {}
-        return self._map_impl(fn, walkers, args, failures=failures), failures
-
-    def _map_impl(self, fn, walkers, args, failures) -> list:
-        if self._pool is None:
-            raise RuntimeError(f"{type(self).__name__} is closed")
-        items = list(walkers)
-        n = len(items)
-        results: list = [None] * n
-        done = [False] * n
-        attempts = [0] * n
-        futures: dict[int, cf.Future] = {}
-
-        def submit(i: int) -> None:
-            futures[i] = self._pool.submit(
-                self._wrap(fn, i, attempts[i]), items[i], *args
-            )
-
-        for i in range(n):
-            submit(i)
-        for i in range(n):
-            while not done[i]:
-                try:
-                    results[i] = futures[i].result(timeout=self.timeout)
-                    done[i] = True
-                except cf.BrokenExecutor as exc:
-                    self._recover_pool(
-                        exc, submit, futures, results, done, attempts, failures
-                    )
-                except cf.TimeoutError as exc:
-                    self._retry(i, attempts, "timeout", exc, submit, done, failures)
-                except Exception as exc:  # noqa: BLE001 - supervised retry
-                    self._retry(i, attempts, "error", exc, submit, done, failures)
-        return results
-
-    def _retry(self, i: int, attempts: list[int], reason: str, exc, submit,
-               done, failures) -> None:
-        attempts[i] += 1
-        if attempts[i] > self.max_retries:
-            final: Exception = exc
-            if reason == "timeout":
-                final = TimeoutError(
-                    f"task {i} timed out {attempts[i]} times "
-                    f"(timeout={self.timeout}s, max_retries={self.max_retries})"
-                )
-                final.__cause__ = exc
-            if failures is None:
-                raise final
-            failures[i] = final
-            done[i] = True
-            self._note_exhausted(i, final)
-            return
-        self._note_retry(i, attempts[i], reason, exc)
-        self._backoff(attempts[i])
-        submit(i)
-
-    def _recover_pool(self, exc, submit, futures, results, done, attempts,
-                      failures) -> None:
-        """Rebuild a poisoned pool; harvest finished work, resubmit the rest."""
-        self.obs.metrics.inc("executor.pool_rebuilds")
-        if self.obs.enabled:
-            self.obs.emit("pool_rebuild", executor=type(self).__name__,
-                          error=f"{type(exc).__name__}: {exc}")
-        self._pool.shutdown(wait=False)
-        self._pool = self._make_pool()
-        for j, fut in futures.items():
-            if done[j]:
-                continue
-            if fut.done() and fut.exception() is None:
-                results[j] = fut.result()
-                done[j] = True
-                continue
-            attempts[j] += 1
-            if attempts[j] > self.max_retries:
-                final = RuntimeError(
-                    f"task {j} exceeded max_retries={self.max_retries} "
-                    f"across pool failures"
-                )
-                final.__cause__ = exc
-                if failures is None:
-                    raise final
-                failures[j] = final
-                done[j] = True
-                self._note_exhausted(j, final)
-                continue
-            self._note_retry(j, attempts[j], "pool_broken", exc)
-            submit(j)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool executor (shared memory; GIL-bound for pure Python).
-
-    Timeout caveat: an abandoned (timed-out) attempt cannot be cancelled and
-    keeps running in its thread; pair thread timeouts with tasks that do not
-    mutate their inputs (injected hangs never do).
-    """
-
-    def __init__(self, n_workers: int = 4, **supervisor_kwargs):
-        super().__init__(n_workers, **supervisor_kwargs)
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.n_workers)
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process-pool executor; walker state is shipped by pickling.
-
-    Uses the ``spawn`` start method for fork-safety with numpy threads.
-    A dead worker poisons the whole pool (``BrokenProcessPool``); ``map``
-    transparently rebuilds it and resubmits the unfinished tasks.
-    """
-
-    def __init__(self, n_workers: int = 2, **supervisor_kwargs):
-        super().__init__(n_workers, **supervisor_kwargs)
-
-    def _make_pool(self):
-        ctx = mp.get_context("spawn")
-        return ProcessPoolExecutor(max_workers=self.n_workers, mp_context=ctx)
-
-
-#: Executor registry for :class:`~repro.parallel.rewl.REWLConfig`'s
-#: ``backend=`` knob (the fused/shm backends bypass executors entirely and
-#: are wired by the driver itself).
-EXECUTORS = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
-
-
-def make_executor(name: str, **kwargs):
-    """Construct a registered advance-phase executor by name."""
-    try:
-        cls = EXECUTORS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown executor backend {name!r}; "
-            f"registered: {sorted(EXECUTORS)}"
-        ) from None
-    return cls(**kwargs)

@@ -46,7 +46,7 @@ import numpy as np
 from repro.faults import faults_from_env
 from repro.lattice.configuration import CONFIG_DTYPE
 from repro.obs.events import worker_log
-from repro.parallel.comm import SharedMemoryCommunicator, ShmWorld
+from repro.parallel.comm import ShmChannel, ShmWorld
 from repro.proposals.base import assemble_move
 from repro.sampling.batched import BatchedWangLandauSampler
 from repro.sampling.wang_landau import WalkerCounters
@@ -64,7 +64,7 @@ __all__ = [
 #: dead worker is noticed promptly, long enough not to busy-spin.
 _POLL_S = 1.0
 
-#: Worker-side retry budget for injected faults (mirrors the executors'
+#: Worker-side retry budget for injected faults (mirrors SerialExecutor's
 #: default under chaos).
 _WORKER_RETRIES = 8
 
@@ -144,7 +144,7 @@ class FusedCampaignState:
         return cls(n_windows, walkers_per_window, arrays)
 
     @classmethod
-    def attach(cls, comm: SharedMemoryCommunicator, n_windows: int,
+    def attach(cls, comm: ShmChannel, n_windows: int,
                walkers_per_window: int) -> "FusedCampaignState":
         """Map the campaign arrays of an :class:`ShmWorld` (worker side)."""
         arrays = {name: comm.shared_array(name) for name in cls.FIELDS}
@@ -513,7 +513,7 @@ def _shm_campaign_worker(handle, rank, blob):
     from repro.obs.profile import SectionProfiler
     from repro.parallel.rewl import _advance_walker
 
-    comm = SharedMemoryCommunicator(world=handle, rank=rank)
+    comm = ShmChannel(world=handle, rank=rank)
     try:
         state = FusedCampaignState.attach(
             comm, blob["n_windows"], blob["walkers_per_window"]
@@ -628,7 +628,7 @@ class ShmEngine:
             config_dtype=first.dtype, alloc=self.world.alloc_array,
         )
         self.rank_of = [1 + (w % self.n_workers) for w in range(n_windows)]
-        self.comm = SharedMemoryCommunicator(world=self.world.handle(), rank=0)
+        self.comm = ShmChannel(world=self.world.handle(), rank=0)
         wl_cfg = driver.walkers[0][0].cfg
         profile_every = (
             driver.profiler.sample_every if driver.profiler is not None else 0
@@ -661,13 +661,9 @@ class ShmEngine:
         FusedTeam.adopt(driver.walkers[w][0], self.state, w, push=True)
 
     def _spawn(self, rank: int, blob: dict) -> None:
-        p = self.world.ctx.Process(
-            target=_shm_campaign_worker,
-            args=(self.world.handle(), rank, blob), daemon=True,
+        self._proc[rank] = self.world.spawn(
+            _shm_campaign_worker, (self.world.handle(), rank, blob)
         )
-        p.start()
-        self.world.procs.append(p)
-        self._proc[rank] = p
 
     def start(self) -> None:
         """Spawn the worker ranks (lazy: first ``run_round`` call)."""
@@ -768,7 +764,7 @@ class ShmEngine:
                     )
                     with driver.obs.span("exchange", round=driver.rounds,
                                          pair=left):
-                        driver._exchange_pair_batched(left, right)
+                        driver._exchange_pair(left, right)
                     if prof is not None:
                         prof.stop("rewl.exchange_round", te)
                     pair_done[next_pair] = True

@@ -5,8 +5,9 @@ overlapping windows (:mod:`repro.parallel.windows`), each window is sampled
 by a team of independent Wang-Landau walkers, and the driver alternates
 
 1. **advance** — every unconverged walker runs ``exchange_interval`` WL
-   steps (parallelized by the executor; walker RNG state travels with the
-   walker, so serial and multiprocess runs are bit-identical),
+   steps (through the supervised executor, or as one fused super-step
+   under the fused/shm backends; walker RNG state travels with the walker,
+   so every backend is bit-identical),
 2. **exchange** — walkers in adjacent windows swap configurations with the
    exact REWL acceptance rule
    ``ln u < [ln g_A(E_A) − ln g_A(E_B)] + [ln g_B(E_B) − ln g_B(E_A)]``,
@@ -45,7 +46,7 @@ from repro.obs.timeseries import (
     TimeSeriesRecorder,
     timeseries_from_env,
 )
-from repro.parallel.executors import SerialExecutor, make_executor
+from repro.parallel.executors import SerialExecutor
 from repro.parallel.windows import WindowSpec, make_windows, surviving_pairs
 from repro.resilience.supervisor import (
     CampaignSupervisor,
@@ -60,7 +61,6 @@ from repro.sampling.wang_landau import (
     WLConfig,
     drive_into_range,
 )
-from repro.util.deprecation import warn_once
 from repro.util.rng import RngFactory
 from repro.util.validation import check_in_range, check_integer, check_probability
 
@@ -68,15 +68,15 @@ __all__ = ["REWLConfig", "REWLDriver", "REWLResult", "WalkerSnapshot"]
 
 
 def _advance_walker(walker, n_steps: int):
-    """Module-level task so process executors can pickle it.
+    """One advance task: step a walker (or batched team) in place.
 
     ``n_steps`` is per walker: a scalar walker takes ``n_steps`` WL steps, a
     batched team takes ``n_steps`` super-steps (one step per slot each).
 
     When ``REPRO_TRACE_DIR`` is set, each task emits one ``worker_span``
     record — tagged (pid, window, walker) via the walker's ``obs_tag`` — to
-    this process's worker JSONL file, so multiprocess campaigns can be
-    merged into one timeline by ``repro obs export-trace``.
+    this process's worker JSONL file, so shm worker ranks and the host can
+    be merged into one timeline by ``repro obs export-trace``.
     """
     log = worker_log()
     t0 = time.perf_counter() if log.enabled else 0.0
@@ -97,10 +97,10 @@ def _advance_walker(walker, n_steps: int):
 
 
 #: Advance backends ``REWLConfig.backend`` accepts: executor-driven
-#: per-window stepping ("serial"/"thread"/"process") or the fused SPMD
-#: campaign super-step, in-process ("fused") or multiprocess over
-#: shared-memory segments ("shm"); see :mod:`repro.parallel.fused`.
-BACKENDS = ("serial", "thread", "process", "fused", "shm")
+#: per-window stepping ("serial") or the fused SPMD campaign super-step,
+#: in-process ("fused") or multiprocess over shared-memory segments
+#: ("shm"); see :mod:`repro.parallel.fused`.
+BACKENDS = ("serial", "fused", "shm")
 
 
 @dataclass(frozen=True)
@@ -113,10 +113,10 @@ class REWLConfig:
     throughput mode; see :mod:`repro.sampling.batched`).  Default off —
     scalar teams remain bit-identical to previous releases.
 
-    ``backend`` selects how the campaign advances: ``"serial"`` /
-    ``"thread"`` / ``"process"`` build the matching executor
-    (:data:`repro.parallel.executors.EXECUTORS`), while ``"fused"`` and
-    ``"shm"`` step all windows as one SPMD array program
+    ``backend`` selects how the campaign advances: ``"serial"`` steps each
+    window through the supervised executor
+    (:class:`repro.parallel.executors.SerialExecutor`), while ``"fused"``
+    and ``"shm"`` step all windows as one SPMD array program
     (:mod:`repro.parallel.fused`; both imply ``batched_walkers``).
     ``shm_ranks`` caps the worker ranks of the shm backend (default: one
     per window, bounded by the CPU count).
@@ -273,13 +273,14 @@ class REWLDriver:
         A valid configuration; each walker gets an independently shuffled
         copy driven into its window.
     config : REWLConfig
-        Campaign shape and backend (``backend="serial"|"thread"|"process"``
-        builds the matching executor; ``"fused"``/``"shm"`` step the whole
-        campaign as one SPMD super-step — :mod:`repro.parallel.fused`).
-    executor : executor, optional
-        Explicit advance-phase executor; overrides the ``config.backend``
-        executor choice.  Rejected for the fused/shm backends, which manage
-        their own stepping.
+        Campaign shape and backend (``backend="serial"`` steps windows
+        through the executor; ``"fused"``/``"shm"`` step the whole campaign
+        as one SPMD super-step — :mod:`repro.parallel.fused`).
+    executor : SerialExecutor, optional
+        Explicit advance-phase executor, e.g. one carrying its own fault
+        injector or retry budget; defaults to a fresh
+        :class:`~repro.parallel.executors.SerialExecutor`.  Rejected for
+        the fused/shm backends, which manage their own stepping.
     instrumentation : repro.obs.Instrumentation, optional
         Observability bundle — ``telemetry`` (metrics/spans/events handle),
         ``profiler`` (sampling section profiler), ``health`` (heartbeats +
@@ -289,9 +290,6 @@ class REWLDriver:
         (``REPRO_PROFILE``, ``REPRO_HEALTH``, ``REPRO_CONVERGENCE``,
         ``REPRO_TIMESERIES`` — and ``REPRO_OBS_PORT`` implies a recorder);
         none of them draw RNG, so an instrumented run stays bit-identical.
-        The pre-bundle per-field keywords (``telemetry=``, ``profiler=``,
-        ``health=``, ``convergence=``, ``timeseries=``) keep working for
-        one release behind a ``DeprecationWarning``.
     checkpoint_path : path-like, optional
         Where periodic snapshots land when ``config.checkpoint_interval``
         is set; resume with :func:`repro.parallel.checkpoint.maybe_resume`.
@@ -310,28 +308,7 @@ class REWLDriver:
 
     def __init__(self, *, hamiltonian=None, proposal_factory=None, grid=None,
                  initial_config=None, config=None, executor=None,
-                 instrumentation=None, checkpoint_path=None, resilience=None,
-                 **legacy):
-        inst_fields = Instrumentation.field_names()
-        unknown = set(legacy) - set(inst_fields)
-        if unknown:
-            raise TypeError(
-                f"REWLDriver() got unexpected keyword arguments {sorted(unknown)}"
-            )
-        if legacy:
-            if instrumentation is not None:
-                raise TypeError(
-                    "REWLDriver() got both instrumentation= and deprecated "
-                    f"per-field keywords {sorted(legacy)}; pass everything "
-                    "through Instrumentation(...)"
-                )
-            warn_once(
-                "REWLDriver.instrumentation",
-                "the per-field REWLDriver observability keywords (telemetry=, "
-                "profiler=, health=, convergence=, timeseries=) are "
-                "deprecated; pass instrumentation=Instrumentation(...) instead",
-            )
-            instrumentation = Instrumentation(**legacy)
+                 instrumentation=None, checkpoint_path=None, resilience=None):
         inst = instrumentation if instrumentation is not None else Instrumentation()
         missing = [
             k for k, v in (
@@ -386,8 +363,6 @@ class REWLDriver:
                 f"backend={cfg.backend!r} manages its own stepping; "
                 "drop the executor= argument"
             )
-        if executor is None and cfg.backend in ("thread", "process"):
-            executor = make_executor(cfg.backend)
         self.executor = executor or SerialExecutor()
         self._engine = None
         self.obs = telemetry if telemetry is not None else Telemetry()
@@ -443,7 +418,7 @@ class REWLDriver:
             if trace and trace not in ("stderr", "-"):
                 get_board().publish_trace(trace)
         # Executors constructed without their own telemetry adopt ours, so
-        # retry/fault/rebuild events land in this run's trace.
+        # retry/fault events land in this run's trace.
         bind = getattr(self.executor, "bind_telemetry", None)
         if bind is not None:
             bind(self.obs)
@@ -493,8 +468,8 @@ class REWLDriver:
                 ]
             self.walkers.append(team)
         if self.profiler is not None and self.cfg.backend != "shm":
-            # One independent profiler per walker (picklable; ships through
-            # the executors and merges back in result()).  shm workers build
+            # One independent profiler per walker (merged back in
+            # result()).  shm workers build
             # their own profilers rank-side (the engine ships the stride) and
             # return samples with each round's reply.
             for team in self.walkers:
@@ -653,9 +628,6 @@ class REWLDriver:
         self.obs.metrics.inc("rewl.steps", steps)
 
     def _exchange_phase(self) -> None:
-        if self.cfg.batched_walkers:
-            self._exchange_phase_batched()
-            return
         prof = self.profiler
         t0 = prof.start_always("rewl.exchange_round") if prof is not None else None
         with self.obs.span("exchange", round=self.rounds):
@@ -664,74 +636,22 @@ class REWLDriver:
             # odd/even alternation exactly; with quarantined windows the
             # schedule is the surviving re-paired topology instead.
             for left, right in self._exchange_pairs()[start::2]:
-                if self.window_converged[left] or self.window_converged[right]:
-                    continue
-                ia = int(self._exchange_rng.integers(len(self.walkers[left])))
-                ib = int(self._exchange_rng.integers(len(self.walkers[right])))
-                a = self.walkers[left][ia]
-                b = self.walkers[right][ib]
-                self.exchange_attempts[left] += 1
-                a.counters.exchange_attempts += 1
-                b.counters.exchange_attempts += 1
-                self.obs.metrics.inc("rewl.exchange.attempts")
-                accepted = False
-                in_overlap = True
-                bin_a_in_b = b.grid.index(a.energy)
-                bin_b_in_a = a.grid.index(b.energy)
-                if bin_a_in_b < 0 or bin_b_in_a < 0:
-                    in_overlap = False  # not both in the overlap
-                else:
-                    log_alpha = (
-                        a.ln_g[a.current_bin]
-                        - a.ln_g[bin_b_in_a]
-                        + b.ln_g[b.current_bin]
-                        - b.ln_g[bin_a_in_b]
-                    )
-                    if log_alpha >= 0.0 or np.log(self._exchange_rng.random()) < log_alpha:
-                        a.config, b.config = b.config, a.config
-                        a.energy, b.energy = b.energy, a.energy
-                        a.current_bin = bin_b_in_a
-                        b.current_bin = bin_a_in_b
-                        self.exchange_accepts[left] += 1
-                        a.counters.exchange_accepts += 1
-                        b.counters.exchange_accepts += 1
-                        self.obs.metrics.inc("rewl.exchange.accepts")
-                        accepted = True
-                if self.convergence is not None:
-                    self.convergence.note_exchange(
-                        left, ia, right, ib, accepted, in_overlap
-                    )
-                if self.obs.enabled:
-                    self.obs.emit("exchange_attempt", round=self.rounds, pair=left,
-                                  accepted=accepted, in_overlap=in_overlap)
+                self._exchange_pair(left, right)
         if prof is not None:
             prof.stop("rewl.exchange_round", t0)
 
-    def _exchange_phase_batched(self) -> None:
-        """Replica exchange between *slots* of batched window teams.
+    def _exchange_pair(self, left: int, right: int) -> None:
+        """One replica-exchange attempt between windows ``left``/``right``.
 
-        Same pairing schedule, acceptance rule, and RNG draw pattern as the
-        scalar phase (one slot pick per side, one uniform for acceptance);
-        only the state swap differs — slots are exchanged through the teams'
-        ``slot_*`` accessors instead of swapping walker attributes.
-        """
-        prof = self.profiler
-        t0 = prof.start_always("rewl.exchange_round") if prof is not None else None
-        with self.obs.span("exchange", round=self.rounds):
-            start = self.rounds % 2
-            for left, right in self._exchange_pairs()[start::2]:
-                self._exchange_pair_batched(left, right)
-        if prof is not None:
-            prof.stop("rewl.exchange_round", t0)
-
-    def _exchange_pair_batched(self, left: int, right: int) -> None:
-        """One batched exchange attempt between windows ``left``/``right``.
-
-        The unit the overlapped shm round drives directly (pairs settle as
-        their windows finish stepping, in strict schedule order, so the
-        exchange RNG stream matches the phase-at-a-time loop draw-for-draw).
-        Converged or quarantined endpoints make the attempt a silent no-op —
-        same draw-skipping as the classic phase's ``continue``.
+        Each side picks one of its window's walker slots with one
+        ``integers(n)`` draw — a scalar team is ``n`` one-slot walkers, a
+        batched team one ``n``-slot object — and a uniform is drawn only
+        when ``log_alpha < 0``.  States move through the ``slot_*`` /
+        ``set_slot`` accessors.  This is also the unit the overlapped shm
+        round drives directly (pairs settle as their windows finish
+        stepping, in strict schedule order, so the exchange RNG stream
+        matches the phase-at-a-time loop draw-for-draw).  Converged or
+        quarantined endpoints make the attempt a silent no-op without draws.
         """
         if self.window_converged[left] or self.window_converged[right]:
             return
@@ -739,44 +659,41 @@ class REWLDriver:
             # Only reachable when quarantine lands mid-round (overlapped
             # engine); the phase schedule already excludes these pairs.
             return
-        team_a = self.walkers[left][0]
-        team_b = self.walkers[right][0]
-        ka = int(self._exchange_rng.integers(team_a.n_slots))
-        kb = int(self._exchange_rng.integers(team_b.n_slots))
+        team_a, team_b = self.walkers[left], self.walkers[right]
+        per_a, per_b = team_a[0].n_slots, team_b[0].n_slots
+        ia = int(self._exchange_rng.integers(len(team_a) * per_a))
+        ib = int(self._exchange_rng.integers(len(team_b) * per_b))
+        a, ka = team_a[ia // per_a], ia % per_a
+        b, kb = team_b[ib // per_b], ib % per_b
         self.exchange_attempts[left] += 1
-        team_a.counters.exchange_attempts += 1
-        team_b.counters.exchange_attempts += 1
+        a.counters.exchange_attempts += 1
+        b.counters.exchange_attempts += 1
         self.obs.metrics.inc("rewl.exchange.attempts")
         accepted = False
         in_overlap = True
-        bin_a_in_b = team_b.grid.index(team_a.slot_energy(ka))
-        bin_b_in_a = team_a.grid.index(team_b.slot_energy(kb))
+        bin_a_in_b = b.grid.index(a.slot_energy(ka))
+        bin_b_in_a = a.grid.index(b.slot_energy(kb))
         if bin_a_in_b < 0 or bin_b_in_a < 0:
             in_overlap = False  # not both in the overlap
         else:
             log_alpha = (
-                team_a.ln_g[team_a.slot_bin(ka)]
-                - team_a.ln_g[bin_b_in_a]
-                + team_b.ln_g[team_b.slot_bin(kb)]
-                - team_b.ln_g[bin_a_in_b]
+                a.ln_g[a.slot_bin(ka)]
+                - a.ln_g[bin_b_in_a]
+                + b.ln_g[b.slot_bin(kb)]
+                - b.ln_g[bin_a_in_b]
             )
             if log_alpha >= 0.0 or np.log(self._exchange_rng.random()) < log_alpha:
-                cfg_a = team_a.slot_config(ka).copy()
-                e_a = team_a.slot_energy(ka)
-                team_a.set_slot(
-                    ka, team_b.slot_config(kb), team_b.slot_energy(kb),
-                    bin_b_in_a,
-                )
-                team_b.set_slot(kb, cfg_a, e_a, bin_a_in_b)
+                cfg_a = a.slot_config(ka).copy()
+                e_a = a.slot_energy(ka)
+                a.set_slot(ka, b.slot_config(kb), b.slot_energy(kb), bin_b_in_a)
+                b.set_slot(kb, cfg_a, e_a, bin_a_in_b)
                 self.exchange_accepts[left] += 1
-                team_a.counters.exchange_accepts += 1
-                team_b.counters.exchange_accepts += 1
+                a.counters.exchange_accepts += 1
+                b.counters.exchange_accepts += 1
                 self.obs.metrics.inc("rewl.exchange.accepts")
                 accepted = True
         if self.convergence is not None:
-            self.convergence.note_exchange(
-                left, ka, right, kb, accepted, in_overlap
-            )
+            self.convergence.note_exchange(left, ia, right, ib, accepted, in_overlap)
         if self.obs.enabled:
             self.obs.emit("exchange_attempt", round=self.rounds, pair=left,
                           accepted=accepted, in_overlap=in_overlap)
@@ -952,9 +869,9 @@ class REWLDriver:
     def merged_profile(self) -> SectionProfiler:
         """Round-phase sections merged with every walker's hot-path profile.
 
-        Walker profilers travel with the walkers through the executors, so
-        this reduction works identically for serial, thread, and process
-        backends.  Returns a fresh profiler; nothing is mutated.
+        Walker profilers travel with the walkers, so this reduction works
+        identically for every backend.  Returns a fresh profiler; nothing
+        is mutated.
         """
         merged = SectionProfiler(
             sample_every=self.profiler.sample_every if self.profiler else 1

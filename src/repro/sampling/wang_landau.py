@@ -314,8 +314,8 @@ class WangLandauSampler:
         self.n_iterations = 0
         self.iteration_steps: list[int] = []
         self._steps_this_iteration = 0
-        # Plain-int telemetry (picklable; travels with the walker through
-        # process executors).  The REWL driver fills the exchange fields.
+        # Plain-int telemetry (picklable; travels with the walker into
+        # checkpoints).  The REWL driver fills the exchange fields.
         self.counters = WalkerCounters()
         # Optional section profiler (repro.obs.profile); None keeps the hot
         # loop at a single attribute check.  Enable via enable_profiling().
@@ -332,13 +332,37 @@ class WangLandauSampler:
         ΔE and proposal generation) and hooks the histogram update and
         flatness checks.  Profiling draws no random numbers and writes only
         into the profiler, so the sampled trajectory is bit-identical; the
-        profiler pickles with the walker through process executors.
+        profiler pickles with the walker.
         """
         if self.profiler is not None:
             raise RuntimeError("profiling is already enabled on this walker")
         self.profiler = profiler
         self.hamiltonian = self.hamiltonian.profiled(profiler)
         self.proposal = self.proposal.profiled(profiler)
+
+    # ----------------------------------------------------------------- slots
+    #
+    # The slot accessors of BatchedWangLandauSampler, for a one-slot team:
+    # the REWL exchange reads and writes walker state through them (``k``
+    # is always 0).
+
+    n_slots = 1
+
+    def slot_energy(self, k: int) -> float:
+        return self.energy
+
+    def slot_bin(self, k: int) -> int:
+        return self.current_bin
+
+    def slot_config(self, k: int) -> np.ndarray:
+        """The configuration array itself (copy before mutating)."""
+        return self.config
+
+    def set_slot(self, k: int, config: np.ndarray, energy: float, bin_index: int) -> None:
+        """Overwrite the walker's state in place (replica exchange)."""
+        self.config[...] = config
+        self.energy = energy
+        self.current_bin = bin_index
 
     # ----------------------------------------------------------------- step
 
@@ -450,7 +474,7 @@ class WangLandauSampler:
         ``max_steps`` defaults to ``self.cfg.max_steps``.  ``telemetry`` (a
         :class:`repro.obs.Telemetry`) is used per *WL iteration*, never per
         step, and is deliberately not stored on the sampler: walkers must
-        stay cheaply picklable for process executors.  Enabling it changes
+        stay cheaply picklable for checkpoints.  Enabling it changes
         no sampler state (bit-identity is tested).
         """
         from repro.obs.profile import contribute_profile, profile_from_env

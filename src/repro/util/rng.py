@@ -53,7 +53,7 @@ class BufferedDraws:
       realistic site count.  Other call signatures are delegated.
     - Draw *order* differs from an unbuffered Generator with the same seed
       (blocks are pre-consumed); runs remain fully deterministic per seed.
-    - Picklable, so REWL walkers can ship across process executors.
+    - Picklable, so REWL walkers can be checkpointed and shipped to shm ranks.
     """
 
     __slots__ = ("generator", "_block", "_buf", "_pos")

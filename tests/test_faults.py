@@ -18,7 +18,7 @@ from repro.faults import (
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
 from repro.obs import Instrumentation, Telemetry
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor, ThreadExecutor
+from repro.parallel import REWLConfig, REWLDriver, SerialExecutor
 from repro.proposals import FlipProposal
 from repro.sampling import EnergyGrid
 
@@ -158,11 +158,6 @@ class TestExecutorIntegration:
         )
         assert chaotic == clean
 
-    def test_thread_map_survives_faults(self):
-        inj = FaultInjector(FaultConfig(crash=0.3, hang_s=0.0, seed=8))
-        with ThreadExecutor(2, faults=inj, retry_backoff=0.0) as ex:
-            assert ex.map(_double, list(range(30))) == [2 * x for x in range(30)]
-
     def test_fault_metrics_and_events_recorded(self):
         from repro.obs import EventLog, MemorySink
 
@@ -238,13 +233,6 @@ class TestREWLUnderChaos:
         assert np.array_equal(
             clean.stitched().ln_g, chaotic.stitched().ln_g
         )
-
-    def test_thread_chaos_bit_identical(self, ising, grid, clean):
-        inj = FaultInjector(FaultConfig(crash=0.15, hang_s=0.0, seed=6))
-        with ThreadExecutor(2, faults=inj, retry_backoff=0.0) as pool:
-            chaotic = self._run(ising, grid, executor=pool)
-        for a, b in zip(clean.window_ln_g, chaotic.window_ln_g):
-            assert np.array_equal(a, b)
 
     def test_driver_telemetry_reaches_executor(self, ising, grid):
         """Retry metrics land in the driver's telemetry via bind_telemetry."""

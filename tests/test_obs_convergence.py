@@ -8,7 +8,7 @@ import pytest
 
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.obs import EventLog, MemorySink, Telemetry
+from repro.obs import EventLog, Instrumentation, MemorySink, Telemetry
 from repro.obs.convergence import (
     CONVERGENCE_ENV_VAR,
     ConvergenceConfig,
@@ -22,8 +22,6 @@ from repro.sampling import EnergyGrid
 
 
 def _driver(telemetry=None, **kwargs):
-    from repro.obs import Instrumentation
-
     ham = IsingHamiltonian(square_lattice(4))
     grid = EnergyGrid.from_levels(ham.energy_levels())
     inst = Instrumentation(telemetry=telemetry, **{
@@ -229,7 +227,7 @@ class TestLedgerOnRewl:
                 config=REWLConfig(n_windows=2, walkers_per_window=2,
                            overlap=0.6, exchange_interval=200,
                            ln_f_final=5e-2, seed=11, batched_walkers=True),
-                **kwargs,
+                instrumentation=Instrumentation(**kwargs),
             )
 
         plain = build()
@@ -284,7 +282,9 @@ class TestLedgerCheckpoint:
             grid=grid, initial_config=np.zeros(16, dtype=np.int8),
             config=REWLConfig(n_windows=2, walkers_per_window=2,
                        exchange_interval=300, ln_f_final=1e-6, seed=3),
-            convergence=ConvergenceLedger(ConvergenceConfig(sample_every=2)),
+            instrumentation=Instrumentation(
+                convergence=ConvergenceLedger(ConvergenceConfig(sample_every=2))
+            ),
         )
 
     def test_ledger_round_trips_through_checkpoint(self, tmp_path):

@@ -11,12 +11,10 @@ from repro.obs.metrics import (
     MetricsRegistry,
     merge_registries,
 )
-from repro.parallel import ProcessExecutor, SerialExecutor, run_spmd
-from repro.obs import Telemetry
 
 
 def _fill_registry(i, scale=1):
-    """Module-level task so process executors can pickle it."""
+    """A walker-shaped registry whose contents depend on ``i``/``scale``."""
     reg = MetricsRegistry()
     reg.inc("walker.steps", (i + 1) * 100 * scale)
     reg.inc("walker.accepted", (i + 1) * 10 * scale)
@@ -174,40 +172,3 @@ class TestLabels:
         a.merge(b)
         assert a.counter("m", labels={"w": 0}).value == 3
         assert a.counter("m", labels={"w": 1}).value == 4
-
-
-class TestExecutorReduction:
-    """Per-walker registries survive executor round trips and reduce equal."""
-
-    def test_serial_vs_process_merge_identical(self):
-        serial = SerialExecutor().map(_fill_registry, [0, 1, 2, 3])
-        with ProcessExecutor(n_workers=2) as ex:
-            process = ex.map(_fill_registry, [0, 1, 2, 3])
-        merged_serial = merge_registries(serial)
-        merged_process = merge_registries(process)
-        assert merged_serial.as_dict() == merged_process.as_dict()
-        assert merged_serial.counter("walker.steps").value == 1000
-
-
-class TestCommMetrics:
-    def test_spmd_merges_rank_comm_metrics(self):
-        def program(comm):
-            comm.barrier()
-            return comm.allreduce(comm.rank)
-
-        tel = Telemetry()
-        results = run_spmd(program, 3, telemetry=tel)
-        assert results == [3, 3, 3]
-        # 3 explicit barriers + the barriers inside allgather-backed allreduce.
-        assert tel.metrics.counter("comm.barrier.calls").value >= 3
-        assert tel.metrics.counter("comm.allreduce.calls").value == 3
-        hist = tel.metrics["comm.allreduce.seconds"]
-        assert hist.count == 3
-
-    def test_single_rank_serial_comm_metrics(self):
-        def program(comm):
-            return comm.bcast("x")
-
-        tel = Telemetry()
-        assert run_spmd(program, 1, telemetry=tel) == ["x"]
-        assert tel.metrics.counter("comm.bcast.calls").value == 1

@@ -1,11 +1,13 @@
 """Integration tests for the REWL driver (the paper's parallel framework)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.hamiltonians import IsingHamiltonian, enumerate_density_of_states
 from repro.lattice import square_lattice
-from repro.parallel import REWLConfig, REWLDriver, SerialExecutor, ThreadExecutor
+from repro.parallel import REWLConfig, REWLDriver
 from repro.proposals import FlipProposal
 from repro.sampling import EnergyGrid
 
@@ -70,18 +72,6 @@ class TestREWLCorrectness:
 
 
 class TestREWLDeterminism:
-    def test_serial_and_thread_executor_identical(self, ising, grid):
-        """Walker RNG state travels with the walker, so the executor choice
-        cannot change the trajectory."""
-        res_a = run_driver(ising, grid, executor=SerialExecutor(), seed=21,
-                           ln_f_final=5e-3)
-        with ThreadExecutor(n_workers=3) as pool:
-            res_b = run_driver(ising, grid, executor=pool, seed=21, ln_f_final=5e-3)
-        assert res_a.rounds == res_b.rounds
-        for ga, gb in zip(res_a.window_ln_g, res_b.window_ln_g):
-            assert np.array_equal(ga, gb)
-        assert np.array_equal(res_a.exchange_accepts, res_b.exchange_accepts)
-
     def test_same_seed_reproducible(self, ising, grid):
         res_a = run_driver(ising, grid, seed=33, ln_f_final=5e-3)
         res_b = run_driver(ising, grid, seed=33, ln_f_final=5e-3)
@@ -95,6 +85,49 @@ class TestREWLDeterminism:
             not np.array_equal(ga, gb)
             for ga, gb in zip(res_a.window_ln_g, res_b.window_ln_g)
         )
+
+
+class TestREWLGolden:
+    """Pinned campaign outcomes: a refactor of the driver must keep the RNG
+    stream — every walker step and every exchange draw — exactly as it was.
+
+    The expected values were recorded from the scalar and batched exchange
+    implementations that preceded the single ``_exchange_pair``; any change
+    to draw order, slot picking or state swapping moves at least one of
+    them.
+    """
+
+    @staticmethod
+    def _digest(result) -> str:
+        return hashlib.sha256(
+            b"".join(np.ascontiguousarray(g).tobytes() for g in result.window_ln_g)
+        ).hexdigest()
+
+    @pytest.mark.parametrize(
+        "walkers, batched, rounds, steps, attempts, accepts, digest",
+        [
+            (2, False, 228, 79_600, 85, 35,
+             "326e1802b28e2c1c4a5d79c5c019917907fd1c20d94df5e145637bb855cccd05"),
+            (4, True, 49, 38_000, 23, 10,
+             "a2797bbd081b44f5d645e3f53e86bda2d0bc0077a18e37778b01303153476b06"),
+        ],
+        ids=["scalar-2x2", "batched-2x4"],
+    )
+    def test_campaign_matches_recorded_stream(
+        self, ising, grid, walkers, batched, rounds, steps, attempts, accepts,
+        digest,
+    ):
+        res = run_driver(
+            ising, grid, seed=2024, n_windows=2, walkers_per_window=walkers,
+            overlap=0.6, exchange_interval=100, ln_f_final=2e-3,
+            batched_walkers=batched,
+        )
+        assert res.converged
+        assert res.rounds == rounds
+        assert res.total_steps == steps
+        assert res.exchange_attempts.tolist() == [attempts]
+        assert res.exchange_accepts.tolist() == [accepts]
+        assert self._digest(res) == digest
 
 
 class TestREWLConfigValidation:
@@ -120,6 +153,13 @@ class TestREWLConfigValidation:
         with pytest.raises(ValueError, match="checkpoint_interval"):
             REWLConfig(checkpoint_interval=-1)
         assert REWLConfig(checkpoint_interval=0).checkpoint_interval == 0
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_retired_backends_rejected(self, backend):
+        with pytest.raises(ValueError, match=backend) as info:
+            REWLConfig(backend=backend)
+        for name in ("serial", "fused", "shm"):
+            assert repr(name) in str(info.value)
 
 
 class TestREWLMechanics:

@@ -6,16 +6,14 @@ Covers the api_redesign migration contract:
 - the retired positional and ``config=<ndarray>`` shims (one deprecation
   release has elapsed) now raise ``TypeError`` with a pointer to the
   keyword spelling;
-- the driver's retired per-field observability keywords still work for one
-  release behind a ``DeprecationWarning`` that routes them through
+- the driver's retired per-field observability keywords raise
+  ``TypeError``; observability travels in one
   :class:`~repro.obs.Instrumentation`;
 - every sampler satisfies the structural :class:`Sampler` protocol and is
   reachable through the :data:`SAMPLERS` registry;
 - the repo itself is clean of deprecated-path uses (``repro tools
   lint-api``).
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +37,6 @@ from repro.sampling import (
     make_sampler,
     register_sampler,
 )
-from repro.util.deprecation import reset_deprecation_warnings
 
 
 @pytest.fixture
@@ -134,38 +131,16 @@ class TestRetiredConstruction:
 
 
 class TestInstrumentationBundle:
-    def test_legacy_keywords_warn_once_and_fold(self, ham, grid):
+    def test_per_field_keywords_raise(self, ham, grid):
+        """The retired per-field observability keywords are rejected."""
         from repro.obs import Telemetry
 
-        reset_deprecation_warnings()
         cfg = REWLConfig(n_windows=2, walkers_per_window=1,
                          exchange_interval=100, seed=0)
-        obs = Telemetry()
-        with pytest.warns(DeprecationWarning, match="Instrumentation"):
-            drv = REWLDriver(
-                hamiltonian=ham, proposal_factory=FlipProposal, grid=grid,
-                initial_config=np.zeros(16, dtype=np.int8), config=cfg,
-                telemetry=obs,  # deprecated spelling under test
-            )
-        assert drv.obs is obs
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
+        with pytest.raises(TypeError, match="telemetry"):
             REWLDriver(
                 hamiltonian=ham, proposal_factory=FlipProposal, grid=grid,
                 initial_config=np.zeros(16, dtype=np.int8), config=cfg,
-                telemetry=obs,
-            )
-
-    def test_bundle_and_legacy_together_raise(self, ham, grid):
-        from repro.obs import Instrumentation, Telemetry
-
-        cfg = REWLConfig(n_windows=2, walkers_per_window=1,
-                         exchange_interval=100, seed=0)
-        with pytest.raises(TypeError, match="both"):
-            REWLDriver(
-                hamiltonian=ham, proposal_factory=FlipProposal, grid=grid,
-                initial_config=np.zeros(16, dtype=np.int8), config=cfg,
-                instrumentation=Instrumentation(telemetry=Telemetry()),
                 telemetry=Telemetry(),
             )
 

@@ -1,6 +1,6 @@
 """Shared-memory lifecycle tests: segment creation, zero-copy attach,
-unlink-on-close, and the no-leak contract under worker death and injected
-faults.
+rank channels, unlink-on-close, and the no-leak contract under worker death
+and injected faults.
 
 Run directly (``python -m pytest tests/test_shm_lifecycle.py``) and as the
 shm leg of the CI chaos matrix (``REPRO_FAULTS`` set in the environment).
@@ -12,20 +12,13 @@ import pytest
 from repro.faults import FAULTS_ENV_VAR
 from repro.hamiltonians import IsingHamiltonian
 from repro.lattice import square_lattice
-from repro.parallel import (
-    REWLConfig,
-    REWLDriver,
-    SharedMemoryCommunicator,
-    ShmWorld,
-)
+from repro.parallel import REWLConfig, REWLDriver, ShmChannel, ShmWorld
 from repro.proposals import FlipProposal
 from repro.resilience import GuardPolicy, ResilienceConfig
 from repro.sampling import EnergyGrid
 
 
 def _segment_exists(name: str) -> bool:
-    from multiprocessing import shared_memory
-
     from repro.parallel.comm import _attach_segment
 
     try:
@@ -54,11 +47,11 @@ class TestShmWorld:
         world = ShmWorld(2)
         host_view = world.alloc_array("table", (4, 3), np.float64)
         names = world.segment_names
-        assert len(names) == 2  # mailbox + the array
+        assert len(names) == 1  # the array is the world's only segment
         assert all(_segment_exists(n) for n in names)
 
-        # A communicator on the handle maps the same bytes, zero-copy.
-        comm = SharedMemoryCommunicator(world=world.handle(), rank=0)
+        # A channel on the handle maps the same bytes, zero-copy.
+        comm = ShmChannel(world=world.handle(), rank=0)
         rank_view = comm.shared_array("table")
         host_view[2, 1] = 7.5
         assert rank_view[2, 1] == 7.5
@@ -88,9 +81,54 @@ class TestShmWorld:
     def test_unknown_array_name_rejected(self):
         world = ShmWorld(1)
         try:
-            comm = SharedMemoryCommunicator(world=world.handle(), rank=0)
+            comm = ShmChannel(world=world.handle(), rank=0)
             with pytest.raises(KeyError, match="unknown shared array"):
                 comm.shared_array("nope")
+        finally:
+            world.close()
+
+
+def _echo_rank(handle, rank):
+    """Worker rank: answer each ``("mul", x)`` from the host with
+    ``rank * x`` until told to stop."""
+    comm = ShmChannel(world=handle, rank=rank)
+    try:
+        while True:
+            msg = comm.recv(source=0)
+            if msg[0] == "stop":
+                break
+            comm.send(rank * msg[1], dest=0)
+    finally:
+        comm.close()
+
+
+class TestShmChannel:
+    def test_recv_stashes_other_ranks_and_recv_any_drains(self):
+        world = ShmWorld(3)
+        try:
+            for rank in (1, 2):
+                world.spawn(_echo_rank, (world.handle(), rank))
+            host = ShmChannel(world=world.handle(), rank=0)
+            host.send(("mul", 5), dest=1)
+            host.send(("mul", 7), dest=2)
+            # Whichever rank answers first, a selective receive returns
+            # rank 2's reply and keeps rank 1's for the next receive.
+            assert host.recv(source=2) == 14
+            assert host.recv_any(timeout=30.0) == (1, 5)
+            for rank in (1, 2):
+                host.send(("stop",), dest=rank)
+            for p in world.procs:
+                p.join(timeout=30.0)
+                assert p.exitcode == 0
+        finally:
+            world.close()
+
+    def test_recv_any_times_out(self):
+        world = ShmWorld(1)
+        try:
+            host = ShmChannel(world=world.handle(), rank=0)
+            with pytest.raises(TimeoutError, match="timed out"):
+                host.recv_any(timeout=0.05)
         finally:
             world.close()
 
